@@ -5,16 +5,17 @@
 //! three, the rendezvous ring spreads series across nodes and deliveries
 //! proceed in parallel per destination.
 //!
-//! Custom harness (not criterion): the run appends a `cluster_scaling`
-//! entry to `BENCH_ingest.json` at the repository root, replacing any
-//! previous one and leaving the rest of the file untouched.
+//! Custom harness (not criterion): the run sets the `cluster_scaling`
+//! key of `BENCH_ingest.json` at the repository root and leaves the rest
+//! of the file untouched.
 //!
 //! `LMS_BENCH_QUICK=1` runs a smaller stream, checks zero loss, and does
 //! not touch the baseline file.
 
+use lms_bench::{rounded, update_bench_file};
 use lms_influx::{Influx, InfluxServer, StorageConfig};
 use lms_router::{ClusterConfig, Router, RouterConfig};
-use lms_util::{Clock, Timestamp};
+use lms_util::{Clock, Json, Timestamp};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,36 +127,22 @@ fn measure(db_nodes: usize, replication: usize, batches: usize, runs: usize) -> 
     samples[samples.len() / 2]
 }
 
-/// Replaces (or inserts) the `cluster_scaling` line in the baseline file,
-/// directly after `wal_group_commit`, leaving everything else untouched.
+/// Sets the `cluster_scaling` entry of the baseline file.
 fn update_baseline(single: f64, three_r1: f64, three_r2: f64) {
-    let Ok(old) = std::fs::read_to_string(BASELINE_PATH) else {
-        eprintln!("note: {BASELINE_PATH} missing; run the ingest bench first");
-        return;
-    };
-    let entry = format!(
-        "  \"cluster_scaling\": {{\"write_threads\": {WRITERS}, \"wal_fsync\": true, \"single_node_pts_per_s\": {single:.0}, \"three_node_r1_pts_per_s\": {three_r1:.0}, \"three_node_r2_pts_per_s\": {three_r2:.0}, \"fanout_ratio\": {:.2}, \"r2_copy_throughput_ratio\": {:.2}}},",
-        three_r1 / single,
-        three_r2 * 2.0 / single
-    );
-    let mut out = Vec::new();
-    let mut inserted = false;
-    for line in old.lines() {
-        if line.trim_start().starts_with("\"cluster_scaling\"") {
-            continue; // replaced below
-        }
-        out.push(line.to_string());
-        if line.trim_start().starts_with("\"wal_group_commit\"") {
-            out.push(entry.clone());
-            inserted = true;
-        }
-    }
-    if !inserted {
-        eprintln!("note: no wal_group_commit anchor in {BASELINE_PATH}; entry not written");
-        return;
-    }
-    std::fs::write(BASELINE_PATH, out.join("\n") + "\n").expect("write BENCH_ingest.json");
-    println!("updated {BASELINE_PATH} (cluster_scaling)");
+    update_bench_file(BASELINE_PATH, |doc| {
+        doc.set(
+            "cluster_scaling",
+            Json::obj([
+                ("write_threads", Json::from(WRITERS as i64)),
+                ("wal_fsync", Json::from(true)),
+                ("single_node_pts_per_s", rounded(single, 0)),
+                ("three_node_r1_pts_per_s", rounded(three_r1, 0)),
+                ("three_node_r2_pts_per_s", rounded(three_r2, 0)),
+                ("fanout_ratio", rounded(three_r1 / single, 2)),
+                ("r2_copy_throughput_ratio", rounded(three_r2 * 2.0 / single, 2)),
+            ]),
+        );
+    });
 }
 
 fn main() {

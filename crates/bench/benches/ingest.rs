@@ -1,44 +1,35 @@
-//! Tentpole benchmark — concurrent ingest throughput: the seed write path
-//! (single lock stripe, per-line `Point` materialization, triple series
-//! lookup) vs the sharded allocation-free path (`write_parsed` over lock
-//! stripes) vs the staged batch path (`write_parsed_batch` through
-//! per-shard append buffers).
-//!
-//! Four engines bracket the changes:
-//!
-//! * `seed`: one stripe, `line.to_point()` + `write_point` — the hot path
-//!   before the sharding refactor.
-//! * `striped-1`: one stripe, allocation-free `write_parsed` — isolates
-//!   the entry-API/no-alloc win from the concurrency win.
-//! * `sharded`: default stripes, `write_parsed` — the per-line path.
-//! * `batched`: default stripes, `write_parsed_batch` — whole batches are
-//!   staged into per-shard append buffers and drained by one thread per
-//!   shard, so hot-series writers no longer convoy on a series write lock.
+//! Ingest throughput benchmark for the production write path,
+//! `Database::write_parsed_batch`: whole parsed batches are staged into
+//! per-shard append buffers and drained by one thread per shard, so
+//! hot-series writers hand their points to the running drainer instead of
+//! convoying on a series write lock.
 //!
 //! Two workloads: `many-series` (each writer owns its series; writes spread
-//! across stripes) and `hot-series` (every thread hammers one series; the
-//! per-line engines serialize on that series' stripe).
+//! across stripes) and `hot-series` (every thread hammers one series).
 //!
-//! Custom harness (not criterion): the comparison needs the measured
-//! numbers programmatically to compute speedups and emit
-//! `BENCH_ingest.json` at the repository root.
+//! Custom harness (not criterion): the run needs the measured numbers
+//! programmatically to check scaling and to update `BENCH_ingest.json` at
+//! the repository root (only the keys this bench owns).
 //!
-//! `LMS_BENCH_QUICK=1` switches to the CI smoke mode: hot-series only,
-//! 1 and 8 threads, 3 runs, no file overwrite — it exits non-zero when
-//! the batched/seed speedup at 8 threads regresses more than 30% against
-//! the checked-in `BENCH_ingest.json`, or when the batched path is slower
-//! at 8 threads than at 1 (the contention collapse this PR removes).
+//! `LMS_BENCH_QUICK=1` switches to the CI smoke mode: 1 and 8 threads on
+//! both workloads in 9 alternating pairs, no file overwrite. It exits
+//! non-zero when the 8-writer/1-writer throughput ratio of either
+//! workload falls below 0.7× the ratio in the checked-in
+//! `BENCH_ingest.json`, when hot-series throughput collapses under
+//! contention (see `contention_ok`), or when the background scrubber
+//! costs ingest more than 5%.
 
+use lms_bench::{read_bench_file, rounded, update_bench_file};
 use lms_influx::{Database, Influx, StorageConfig, WriteOptions};
 use lms_lineproto::{parse_batch, ParseOutcome};
-use lms_util::{Clock, Timestamp};
+use lms_util::{Clock, Json, Timestamp};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const LINES_PER_BATCH: usize = 200;
 const BATCHES_PER_THREAD: usize = 40;
 const RUNS: usize = 7;
-const QUICK_RUNS: usize = 3;
+const QUICK_PAIRS: usize = 9;
 const DEFAULT_SHARDS: usize = 16;
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
@@ -60,18 +51,6 @@ impl Workload {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Path {
-    /// The seed hot path: materialize a `Point` per line, triple-lookup
-    /// insert via `write_point`.
-    SeedPoint,
-    /// The per-line path: borrowed `ParsedLine` + reused key buffer.
-    Parsed,
-    /// The batch path: whole `ParseOutcome`s through the per-shard
-    /// append buffers.
-    Batched,
-}
-
 /// Pre-builds the line-protocol batches one thread will write, so the timed
 /// region contains only parse + write calls.
 fn batches_for(workload: Workload, thread: usize) -> Vec<String> {
@@ -81,8 +60,7 @@ fn batches_for(workload: Workload, thread: usize) -> Vec<String> {
         for i in 0..LINES_PER_BATCH {
             let n = b * LINES_PER_BATCH + i;
             // Monotonic timestamps per series keep Series inserts at the
-            // append fast path for every engine; the engines differ only in
-            // locking and per-line allocation work.
+            // append fast path.
             match workload {
                 Workload::ManySeries => {
                     let series = n % 64;
@@ -110,52 +88,23 @@ fn batches_for(workload: Workload, thread: usize) -> Vec<String> {
 
 /// One timed run: `threads` writers push their pre-parsed batches into a
 /// fresh database. Parsing happens once, outside the timed region — the
-/// benchmark isolates the storage-engine write path this change touched.
-/// Returns points per second.
-fn run_once(
-    shards: usize,
-    path: Path,
-    threads: usize,
-    inputs: &[Vec<ParseOutcome<'_>>],
-) -> f64 {
-    let db = Database::with_shards(shards);
+/// benchmark isolates the storage-engine write path. Returns points per
+/// second.
+fn run_once(threads: usize, inputs: &[Vec<ParseOutcome<'_>>]) -> f64 {
+    let db = Database::with_shards(DEFAULT_SHARDS);
     let start = Instant::now();
     std::thread::scope(|s| {
         for input in inputs.iter().take(threads) {
             let db = &db;
             s.spawn(move || {
-                let mut key_buf = String::with_capacity(64);
                 for parsed in input {
-                    match path {
-                        Path::Batched => {
-                            db.write_parsed_batch(
-                                black_box(&parsed.lines),
-                                WriteOptions::default(),
-                                0,
-                            );
-                        }
-                        _ => {
-                            for line in &parsed.lines {
-                                let ts = line.timestamp.expect("bench lines carry timestamps");
-                                match path {
-                                    Path::SeedPoint => {
-                                        let point = black_box(line).to_point();
-                                        db.write_point(&point, ts);
-                                    }
-                                    Path::Parsed => {
-                                        db.write_parsed(black_box(line), ts, &mut key_buf)
-                                    }
-                                    Path::Batched => unreachable!(),
-                                }
-                            }
-                        }
-                    }
+                    db.write_parsed_batch(black_box(&parsed.lines), WriteOptions::default(), 0);
                 }
             });
         }
     });
-    // point_count drains the staged buffers, so the batched path is
-    // charged for its own drain work, not just for staging.
+    // point_count drains the staged buffers, so the run is charged for
+    // its own drain work, not just for staging.
     black_box(db.point_count());
     let elapsed = start.elapsed().as_secs_f64();
     let points = (threads * BATCHES_PER_THREAD * LINES_PER_BATCH) as f64;
@@ -163,84 +112,97 @@ fn run_once(
 }
 
 /// Median of `runs` runs.
-fn measure(
-    shards: usize,
-    path: Path,
-    threads: usize,
-    inputs: &[Vec<ParseOutcome<'_>>],
-    runs: usize,
-) -> f64 {
-    let mut samples: Vec<f64> =
-        (0..runs).map(|_| run_once(shards, path, threads, inputs)).collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite throughput"));
-    samples[samples.len() / 2]
+fn measure(threads: usize, inputs: &[Vec<ParseOutcome<'_>>], runs: usize) -> f64 {
+    median((0..runs).map(|_| run_once(threads, inputs)).collect())
+}
+
+/// Throughput at 1 and at 8 writers from `pairs` back-to-back pairs run
+/// in alternating order after one warm-up run, so drift and a cold start
+/// hit both sides alike. Returns the median at 1 writer, the median at 8
+/// writers and the median of the per-pair 8/1 ratios.
+fn measure_scaling(inputs: &[Vec<ParseOutcome<'_>>], pairs: usize) -> (f64, f64, f64) {
+    black_box(run_once(8, inputs));
+    let (mut ones, mut eights, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (one, eight) = if pair % 2 == 0 {
+            let one = run_once(1, inputs);
+            (one, run_once(8, inputs))
+        } else {
+            let eight = run_once(8, inputs);
+            (run_once(1, inputs), eight)
+        };
+        ones.push(one);
+        eights.push(eight);
+        ratios.push(eight / one);
+    }
+    (median(ones), median(eights), median(ratios))
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(|a, b| a.partial_cmp(b).expect("finite throughput"));
+    v[v.len() / 2]
+}
+
+/// The line-protocol batches of 8 writers for one workload.
+fn raw_inputs(workload: Workload) -> Vec<Vec<String>> {
+    (0..8).map(|t| batches_for(workload, t)).collect()
+}
+
+fn parse_inputs(raw: &[Vec<String>]) -> Vec<Vec<ParseOutcome<'_>>> {
+    raw.iter().map(|batches| batches.iter().map(|b| parse_batch(b)).collect()).collect()
 }
 
 struct Row {
     workload: &'static str,
     threads: usize,
-    seed: f64,
-    striped_1: f64,
-    sharded: f64,
-    batched: f64,
+    pts_per_s: f64,
 }
 
-/// WAL fsyncs per acknowledged point, end to end, for the legacy stack
-/// (every collector batch delivered and fsynced individually) vs the new
-/// one (the router coalesces queued batches into merged deliveries and
-/// the WAL commits concurrent appends as one fsynced group).
-/// Returns (legacy_fsyncs_per_point, grouped_fsyncs_per_point).
-fn measure_wal_fsync_reduction() -> (f64, f64) {
+/// Lines per collector batch in [`measure_wal_fsyncs_per_point`].
+const WAL_LINES: usize = 20;
+
+/// WAL fsyncs per acknowledged point, end to end, with fsync on: the
+/// router coalesces queued collector batches into merged deliveries and
+/// the WAL commits concurrent appends as one fsynced group. The
+/// reference is one fsync per collector batch, `1 / WAL_LINES` per point.
+fn measure_wal_fsyncs_per_point() -> f64 {
     const WRITERS: usize = 8;
     const BATCHES: usize = 40;
-    const LINES: usize = 20;
     /// Batches the router's forwarder merges per delivery under backlog
     /// (conservative: its cap is bytes-based and far higher than this).
     const COALESCE: usize = 4;
 
-    let run = |grouped: bool| -> f64 {
-        let dir = std::env::temp_dir().join(format!(
-            "lms-bench-wal-{}-{}",
-            std::process::id(),
-            if grouped { "grouped" } else { "legacy" }
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = StorageConfig::new(&dir);
-        cfg.wal_fsync = true;
-        if !grouped {
-            cfg.wal_group_commit = Duration::ZERO;
-            cfg.wal_group_commit_bytes = 0;
-        }
-        let ix = Influx::open(Clock::simulated(Timestamp::from_secs(1_000)), DEFAULT_SHARDS, cfg)
-            .expect("open persistent influx");
-        std::thread::scope(|s| {
-            for t in 0..WRITERS {
-                let ix = ix.clone();
-                s.spawn(move || {
-                    let mut pending = String::new();
-                    let mut queued = 0usize;
-                    for b in 0..BATCHES {
-                        for i in 0..LINES {
-                            let ts = ((t * BATCHES + b) * LINES + i + 1) as i64;
-                            pending.push_str(&format!("cpu,hostname=h{t} busy={i} {ts}\n"));
-                        }
-                        queued += 1;
-                        let flush_at = if grouped { COALESCE } else { 1 };
-                        if queued == flush_at || b + 1 == BATCHES {
-                            ix.write_lines("lms", &pending, WriteOptions::default())
-                                .expect("acked write");
-                            pending.clear();
-                            queued = 0;
-                        }
+    let dir = std::env::temp_dir().join(format!("lms-bench-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = StorageConfig::new(&dir);
+    cfg.wal_fsync = true;
+    let ix = Influx::open(Clock::simulated(Timestamp::from_secs(1_000)), DEFAULT_SHARDS, cfg)
+        .expect("open persistent influx");
+    std::thread::scope(|s| {
+        for t in 0..WRITERS {
+            let ix = ix.clone();
+            s.spawn(move || {
+                let mut pending = String::new();
+                let mut queued = 0usize;
+                for b in 0..BATCHES {
+                    for i in 0..WAL_LINES {
+                        let ts = ((t * BATCHES + b) * WAL_LINES + i + 1) as i64;
+                        pending.push_str(&format!("cpu,hostname=h{t} busy={i} {ts}\n"));
                     }
-                });
-            }
-        });
-        let fsyncs = ix.storage_stats().wal_fsyncs as f64;
-        let _ = std::fs::remove_dir_all(&dir);
-        fsyncs / (WRITERS * BATCHES * LINES) as f64
-    };
-    (run(false), run(true))
+                    queued += 1;
+                    if queued == COALESCE || b + 1 == BATCHES {
+                        ix.write_lines("lms", &pending, WriteOptions::default())
+                            .expect("acked write");
+                        pending.clear();
+                        queued = 0;
+                    }
+                }
+            });
+        }
+    });
+    let fsyncs = ix.storage_stats().wal_fsyncs as f64;
+    let _ = std::fs::remove_dir_all(&dir);
+    fsyncs / (WRITERS * BATCHES * WAL_LINES) as f64
 }
 
 /// Ingest throughput with and without the background integrity scrubber
@@ -341,34 +303,13 @@ fn measure_scrub_overhead() -> (f64, f64) {
         scrubbeds.push(scrubbed);
         ratios.push(scrubbed / plain);
     }
-    let median = |mut v: Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite throughput"));
-        v[v.len() / 2]
-    };
     let (p, r) = (median(plains), median(ratios));
     (p, p * r)
 }
 
-/// Extracts a numeric JSON field from a single line via substring scan —
-/// enough for the bench's own output format, no parser dependency.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// The checked-in hot-series@8 batched/seed speedup, if present.
-fn baseline_hot8_speedup(json: &str) -> Option<f64> {
-    for line in json.lines() {
-        if line.contains("\"hot-series\"") && line.contains("\"threads\": 8") {
-            let seed = json_num(line, "seed_pts_per_s")?;
-            let batched = json_num(line, "batched_pts_per_s")?;
-            return Some(batched / seed);
-        }
-    }
-    None
+/// The checked-in batched@8 / batched@1 throughput ratio of `workload`.
+fn baseline_scaling(doc: &Json, workload: &str) -> Option<f64> {
+    doc.get("scaling_8_over_1")?.get(workload)?.as_f64()
 }
 
 /// Contention gate over `(writers, pts/s)` tiers for the batched
@@ -409,35 +350,34 @@ fn contention_ok(tiers: &[(usize, f64)]) -> bool {
     ok
 }
 
-/// CI smoke mode: hot-series only, fail fast on contention regressions.
+/// CI smoke mode: fail fast on scaling and contention regressions.
 fn run_quick() -> bool {
-    let raw: Vec<Vec<String>> = (0..8).map(|t| batches_for(Workload::HotSeries, t)).collect();
-    let inputs: Vec<Vec<ParseOutcome<'_>>> = raw
-        .iter()
-        .map(|batches| batches.iter().map(|b| parse_batch(b)).collect())
-        .collect();
-
-    let seed_8 = measure(1, Path::SeedPoint, 8, &inputs, QUICK_RUNS);
-    let batched_1 = measure(DEFAULT_SHARDS, Path::Batched, 1, &inputs, QUICK_RUNS);
-    let batched_8 = measure(DEFAULT_SHARDS, Path::Batched, 8, &inputs, QUICK_RUNS);
-    println!(
-        "hot-series  seed@8 {seed_8:>9.0} pts/s   batched@1 {batched_1:>9.0} pts/s   batched@8 {batched_8:>9.0} pts/s"
-    );
-
-    let mut ok = contention_ok(&[(1, batched_1), (8, batched_8)]);
-    match std::fs::read_to_string(BASELINE_PATH).ok().as_deref().and_then(baseline_hot8_speedup) {
-        Some(base) => {
-            let now = batched_8 / seed_8;
-            println!("hot-series @8: batched/seed = {now:.2}x (baseline {base:.2}x)");
-            if now < 0.7 * base {
-                eprintln!(
-                    "FAIL: >30% regression vs checked-in BENCH_ingest.json \
-                     ({now:.2}x < 0.7 × {base:.2}x)"
-                );
-                ok = false;
-            }
+    let baseline = read_bench_file(BASELINE_PATH);
+    let mut ok = true;
+    for workload in [Workload::HotSeries, Workload::ManySeries] {
+        let raw = raw_inputs(workload);
+        let inputs = parse_inputs(&raw);
+        // A same-run ratio: machine speed and load cancel out.
+        let (batched_1, batched_8, now) = measure_scaling(&inputs, QUICK_PAIRS);
+        let name = workload.name();
+        println!("{name:<12} batched@1 {batched_1:>9.0} pts/s   batched@8 {batched_8:>9.0} pts/s");
+        if workload == Workload::HotSeries {
+            ok &= contention_ok(&[(1, batched_1), (8, batched_8)]);
         }
-        None => println!("note: no batched baseline in BENCH_ingest.json; skipping ratio check"),
+        println!("{name} batched@8/batched@1 = {now:.2}x");
+        match baseline.as_ref().and_then(|doc| baseline_scaling(doc, name)) {
+            Some(base) => {
+                println!("{name} checked-in ratio {base:.2}x, gate {:.2}x", 0.7 * base);
+                if now < 0.7 * base {
+                    eprintln!(
+                        "FAIL: {name} 8-writer scaling regressed >30% vs checked-in \
+                         BENCH_ingest.json ({now:.2}x < 0.7 × {base:.2}x)"
+                    );
+                    ok = false;
+                }
+            }
+            None => println!("note: no {name} baseline in BENCH_ingest.json; skipping ratio check"),
+        }
     }
 
     let (plain, scrubbed) = measure_scrub_overhead();
@@ -460,42 +400,27 @@ fn run_quick() -> bool {
 
 fn run_full() {
     let mut rows = Vec::new();
+    let mut scaling = Vec::new();
 
     for workload in [Workload::ManySeries, Workload::HotSeries] {
-        let raw: Vec<Vec<String>> = (0..8).map(|t| batches_for(workload, t)).collect();
-        let inputs: Vec<Vec<ParseOutcome<'_>>> = raw
-            .iter()
-            .map(|batches| batches.iter().map(|b| parse_batch(b)).collect())
-            .collect();
-        for threads in [1usize, 4, 8] {
-            let seed = measure(1, Path::SeedPoint, threads, &inputs, RUNS);
-            let striped_1 = measure(1, Path::Parsed, threads, &inputs, RUNS);
-            let sharded = measure(DEFAULT_SHARDS, Path::Parsed, threads, &inputs, RUNS);
-            let batched = measure(DEFAULT_SHARDS, Path::Batched, threads, &inputs, RUNS);
-            println!(
-                "{:<12} threads={threads}  seed {:>9.0} pts/s   striped-1 {:>9.0} pts/s   sharded({DEFAULT_SHARDS}) {:>9.0} pts/s   batched {:>9.0} pts/s   speedup {:>6.2}x",
-                workload.name(),
-                seed,
-                striped_1,
-                sharded,
-                batched,
-                batched / seed,
-            );
-            rows.push(Row {
-                workload: workload.name(),
-                threads,
-                seed,
-                striped_1,
-                sharded,
-                batched,
-            });
+        let raw = raw_inputs(workload);
+        let inputs = parse_inputs(&raw);
+        let (at_1, at_8, ratio) = measure_scaling(&inputs, RUNS);
+        let at_4 = measure(4, &inputs, RUNS);
+        for (threads, pts_per_s) in [(1usize, at_1), (4, at_4), (8, at_8)] {
+            println!("{:<12} threads={threads}  batched {pts_per_s:>9.0} pts/s", workload.name());
+            rows.push(Row { workload: workload.name(), threads, pts_per_s });
         }
+        println!("{:<12} batched@8/batched@1 = {ratio:.2}x", workload.name());
+        scaling.push((workload.name(), rounded(ratio, 2)));
     }
 
-    let (legacy_fpp, grouped_fpp) = measure_wal_fsync_reduction();
-    let reduction = legacy_fpp / grouped_fpp.max(f64::MIN_POSITIVE);
+    let grouped_fpp = measure_wal_fsyncs_per_point();
+    let per_batch_fpp = 1.0 / WAL_LINES as f64;
+    let reduction = per_batch_fpp / grouped_fpp.max(f64::MIN_POSITIVE);
     println!(
-        "\nwal group commit @ 8 writers: legacy {legacy_fpp:.4} fsyncs/pt, grouped {grouped_fpp:.4} fsyncs/pt — {reduction:.1}x fewer (target ≥ 10x)"
+        "\nwal group commit @ 8 writers: {grouped_fpp:.4} fsyncs/pt vs {per_batch_fpp:.4} at one \
+         fsync per batch — {reduction:.1}x fewer (target ≥ 10x)"
     );
 
     let (plain, scrubbed) = measure_scrub_overhead();
@@ -505,29 +430,68 @@ fn run_full() {
         WRITERS = 4
     );
 
-    let json = render_json(&rows, legacy_fpp, grouped_fpp, plain, scrubbed);
-    std::fs::write(BASELINE_PATH, &json).expect("write BENCH_ingest.json");
-    println!("wrote {BASELINE_PATH}");
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    update_bench_file(BASELINE_PATH, |doc| {
+        doc.set(
+            "config",
+            Json::obj([
+                ("lines_per_batch", Json::from(LINES_PER_BATCH as i64)),
+                ("batches_per_thread", Json::from(BATCHES_PER_THREAD as i64)),
+                ("runs", Json::from(RUNS as i64)),
+                ("default_shards", Json::from(DEFAULT_SHARDS as i64)),
+                ("cores", Json::from(cores as i64)),
+            ]),
+        );
+        doc.set(
+            "engine",
+            Json::str("write_parsed_batch: default stripes, per-shard append buffers"),
+        );
+        doc.set(
+            "wal_group_commit",
+            Json::obj([
+                ("writers", Json::from(8i64)),
+                ("per_batch_fsyncs_per_point", rounded(per_batch_fpp, 5)),
+                ("grouped_fsyncs_per_point", rounded(grouped_fpp, 5)),
+                ("reduction", rounded(reduction, 1)),
+            ]),
+        );
+        doc.set(
+            "scrub_overhead",
+            Json::obj([
+                ("writers", Json::from(4i64)),
+                ("plain_pts_per_s", rounded(plain, 0)),
+                ("scrubbed_pts_per_s", rounded(scrubbed, 0)),
+                ("overhead_pct", rounded((1.0 - scrubbed / plain) * 100.0, 2)),
+            ]),
+        );
+        doc.set("scaling_8_over_1", Json::obj(scaling));
+        doc.set(
+            "results",
+            Json::arr(rows.iter().map(|r| {
+                Json::obj([
+                    ("workload", Json::str(r.workload)),
+                    ("threads", Json::from(r.threads as i64)),
+                    ("batched_pts_per_s", rounded(r.pts_per_s, 0)),
+                ])
+            })),
+        );
+    });
 
     let hot = |threads: usize| {
         rows.iter()
             .find(|r| r.workload == "hot-series" && r.threads == threads)
             .expect("hot-series row")
+            .pts_per_s
     };
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
         "acceptance: hot-series batched @ 8 writers = {:.0} pts/s (target ≥ 1M): {}, \
          scaling 1→4→8 on {cores} cores = {:.0} → {:.0} → {:.0}: {}",
-        hot(8).batched,
-        if hot(8).batched >= 1_000_000.0 { "OK" } else { "FAIL" },
-        hot(1).batched,
-        hot(4).batched,
-        hot(8).batched,
-        if contention_ok(&[(1, hot(1).batched), (4, hot(4).batched), (8, hot(8).batched)]) {
-            "OK"
-        } else {
-            "FAIL"
-        },
+        hot(8),
+        if hot(8) >= 1_000_000.0 { "OK" } else { "FAIL" },
+        hot(1),
+        hot(4),
+        hot(8),
+        if contention_ok(&[(1, hot(1)), (4, hot(4)), (8, hot(8))]) { "OK" } else { "FAIL" },
     );
 }
 
@@ -540,52 +504,4 @@ fn main() {
         return;
     }
     run_full();
-}
-
-fn render_json(
-    rows: &[Row],
-    legacy_fpp: f64,
-    grouped_fpp: f64,
-    scrub_plain: f64,
-    scrub_scrubbed: f64,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"lines_per_batch\": {LINES_PER_BATCH}, \"batches_per_thread\": {BATCHES_PER_THREAD}, \"runs\": {RUNS}, \"default_shards\": {DEFAULT_SHARDS}}},\n"
-    ));
-    out.push_str("  \"engines\": {\"seed\": \"1 stripe, Point materialization (pre-refactor hot path)\", \"striped_1\": \"1 stripe, allocation-free write_parsed\", \"sharded\": \"default stripes, allocation-free write_parsed\", \"batched\": \"default stripes, write_parsed_batch through per-shard append buffers\"},\n");
-    out.push_str(&format!(
-        "  \"wal_group_commit\": {{\"writers\": 8, \"legacy_fsyncs_per_point\": {legacy_fpp:.5}, \"grouped_fsyncs_per_point\": {grouped_fpp:.5}, \"reduction\": {:.1}}},\n",
-        legacy_fpp / grouped_fpp.max(f64::MIN_POSITIVE)
-    ));
-    out.push_str(&format!(
-        "  \"scrub_overhead\": {{\"writers\": 4, \"plain_pts_per_s\": {scrub_plain:.0}, \"scrubbed_pts_per_s\": {scrub_scrubbed:.0}, \"overhead_pct\": {:.2}}},\n",
-        (1.0 - scrub_scrubbed / scrub_plain.max(f64::MIN_POSITIVE)) * 100.0
-    ));
-    // The cluster bench owns the `cluster_scaling` line; carry the current
-    // one over so a full ingest run does not erase it.
-    if let Some(line) = std::fs::read_to_string(BASELINE_PATH)
-        .ok()
-        .and_then(|s| s.lines().find(|l| l.trim_start().starts_with("\"cluster_scaling\"")).map(String::from))
-    {
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \"seed_pts_per_s\": {:.0}, \"striped_1_pts_per_s\": {:.0}, \"sharded_pts_per_s\": {:.0}, \"batched_pts_per_s\": {:.0}, \"speedup_vs_seed\": {:.2}, \"speedup_batched_vs_seed\": {:.2}}}{}\n",
-            r.workload,
-            r.threads,
-            r.seed,
-            r.striped_1,
-            r.sharded,
-            r.batched,
-            r.sharded / r.seed,
-            r.batched / r.seed,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

@@ -21,7 +21,7 @@
 //! completed writes.
 //!
 //! Lock order is `meta` → shard `data` → shard `pending` (ascending),
-//! established in [`Database::create_and_write`] and
+//! established in [`Database::ensure_series`] and
 //! [`Database::enforce_retention`]; the
 //! hot path takes a single shard lock and nothing else. Series are stored
 //! as `Arc<Series>` so queries snapshot cheaply (clone the `Arc`s under a
@@ -85,8 +85,8 @@ pub struct StorageConfig {
     /// Compact once any partition accumulates this many segment files.
     pub compact_min_files: usize,
     /// WAL group-commit window: with `wal_fsync`, concurrent appends
-    /// within this window share one fsync. Zero (together with a zero
-    /// byte bound) restores the legacy one-fsync-per-append path.
+    /// within this window share one fsync. Zero never holds a group open:
+    /// each commit takes whatever is staged when it starts.
     pub wal_group_commit: Duration,
     /// WAL group-commit size bound: commit early once this many staged
     /// bytes accumulate (`0` = no size bound).
@@ -541,14 +541,10 @@ impl Database {
             };
             series.field_mut_or_create(&entry.field).push_sealed(Arc::new(entry.block));
         }
-        let mut key_buf = String::with_capacity(64);
         for record in &recovered.wal_records {
             // WAL batches are normalized at append time: every line carries
             // an explicit nanosecond timestamp, so replay is deterministic.
-            for line in &parse_batch(&record.batch).lines {
-                let ts = line.timestamp.unwrap_or(0);
-                self.write_parsed(line, ts, &mut key_buf);
-            }
+            self.write_parsed_batch(&parse_batch(&record.batch).lines, WriteOptions::default(), 0);
         }
     }
 
@@ -602,80 +598,6 @@ impl Database {
     /// (`i64::MIN` before the first eviction).
     pub fn raw_drop_cutoff(&self) -> i64 {
         self.raw_drop_cutoff.load(Ordering::Acquire)
-    }
-
-    /// Fast path: the series exists — one shard write lock, zero
-    /// allocations. Returns `false` when the series is missing.
-    fn try_write_fields<'f>(
-        &self,
-        key: &str,
-        ts: i64,
-        fields: impl Iterator<Item = (&'f str, &'f FieldValue)>,
-    ) -> bool {
-        let mut shard = self.shard_of(key).data.write();
-        let Some(series) = shard.series.get_mut(key) else { return false };
-        let series = Arc::make_mut(series);
-        for (field, value) in fields {
-            series.insert(field, ts, value.clone());
-        }
-        true
-    }
-
-    /// Slow path: the series may need creating. Lock order is `meta` →
-    /// shard, and the presence check is re-run under both locks because
-    /// another writer can create the series between a failed fast path and
-    /// here. The series map and the measurements index are each updated in
-    /// a single entry-API pass.
-    fn create_and_write<'f>(
-        &self,
-        key: &str,
-        measurement: &str,
-        tags: &[(String, String)],
-        ts: i64,
-        fields: impl Iterator<Item = (&'f str, &'f FieldValue)>,
-    ) {
-        let mut meta = self.meta.write();
-        let mut shard = self.shard_of(key).data.write();
-        let series = match shard.series.entry(key.to_string()) {
-            Entry::Occupied(slot) => Arc::make_mut(slot.into_mut()),
-            Entry::Vacant(slot) => {
-                meta.measurements
-                    .entry(measurement.to_string())
-                    .or_default()
-                    .push(key.to_string());
-                Arc::make_mut(slot.insert(Arc::new(Series::new(measurement, tags))))
-            }
-        };
-        for (field, value) in fields {
-            series.insert(field, ts, value.clone());
-        }
-    }
-
-    /// Writes one already-parsed point.
-    pub fn write_point(&self, point: &lms_lineproto::Point, default_ts: i64) {
-        let key = point.series_key();
-        let ts = point.timestamp().unwrap_or(default_ts);
-        let fields = || point.fields().iter().map(|(k, v)| (k.as_str(), v));
-        if !self.try_write_fields(&key, ts, fields()) {
-            self.create_and_write(&key, point.measurement(), point.tags(), ts, fields());
-        }
-    }
-
-    /// Writes one parsed line without materializing an owned
-    /// [`Point`](lms_lineproto::Point).
-    ///
-    /// `key_buf` is caller-provided scratch reused across a batch; for
-    /// series the database has already seen, the write performs no
-    /// allocation at all (the buffer is rewritten in place and field values
-    /// land directly in the columns).
-    pub fn write_parsed(&self, line: &ParsedLine<'_>, ts: i64, key_buf: &mut String) {
-        key_buf.clear();
-        line.series_key_into(key_buf);
-        let fields = || line.fields.iter().map(|(k, v)| (k.as_ref(), v));
-        if !self.try_write_fields(key_buf, ts, fields()) {
-            let tags = line.canonical_tags();
-            self.create_and_write(key_buf, line.measurement.as_ref(), &tags, ts, fields());
-        }
     }
 
     /// Writes a whole parsed batch through the per-shard append buffers:
@@ -2320,7 +2242,7 @@ impl Drop for StorageWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lms_util::Timestamp;
+    use lms_util::{Json, Timestamp};
 
     fn influx() -> Influx {
         Influx::new(Clock::simulated(Timestamp::from_secs(1000)))
@@ -2537,30 +2459,19 @@ mod tests {
     }
 
     #[test]
-    fn write_parsed_matches_write_point() {
-        // The allocation-free parsed-line path and the owned Point path
-        // must store identical data, including duplicate tag/field keys.
-        let lines = "m,b=2,a=1,a=9 v=1,v=2,w=3i 5\nm,a=9,b=2 v=7 5";
-        let via_parsed = influx();
-        via_parsed.write_lines("lms", lines, Default::default()).unwrap();
-
-        let via_point = influx();
-        {
-            let db = via_point.database_or_create("lms").unwrap();
-            for parsed in lms_lineproto::parse_batch(lines).lines {
-                let point = parsed.to_point();
-                db.write_point(&point, 0);
-            }
-        }
-        for q in ["SELECT v, w FROM m", "SHOW FIELD KEYS FROM m"] {
-            assert_eq!(
-                via_parsed.query("lms", q).unwrap(),
-                via_point.query("lms", q).unwrap(),
-                "query {q} diverged between write paths"
-            );
-        }
-        assert_eq!(via_parsed.series_count("lms"), 1);
-        assert_eq!(via_point.series_count("lms"), 1);
+    fn duplicate_tag_and_field_keys_resolve_last_wins() {
+        // Duplicate tag keys collapse (last wins) into one canonical
+        // series; duplicate field keys and repeated timestamps keep the
+        // last value written.
+        let ix = influx();
+        ix.write_lines("lms", "m,b=2,a=1,a=9 v=1,v=2,w=3i 5\nm,a=9,b=2 v=7 5", Default::default())
+            .unwrap();
+        assert_eq!(ix.series_count("lms"), 1);
+        let r = ix.query("lms", "SELECT v, w FROM m GROUP BY *").unwrap();
+        assert_eq!(r.series.len(), 1);
+        assert_eq!(r.series[0].tags, [("a".into(), "9".into()), ("b".into(), "2".into())]);
+        assert_eq!(r.series[0].columns, ["time", "v", "w"]);
+        assert_eq!(r.series[0].values, [vec![Json::Int(5), Json::Num(7.0), Json::Int(3)]]);
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -2619,6 +2530,39 @@ mod tests {
         let r = ix.query("lms", "SELECT v FROM cpu").unwrap();
         assert_eq!(r.series[0].values.len(), 2);
         assert!(ix.storage_stats().recovered_records > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wal_replay_resolves_last_write_and_drains_large_records() {
+        // Two unflushed records overwrite the same timestamps, and a third
+        // record is larger than DRAIN_BATCH_POINTS, so replay drains a
+        // shard partway through. The reopened head must hold exactly the
+        // last value written at each timestamp.
+        let dir = tmp_dir("wal-replay-lww");
+        let big = DRAIN_BATCH_POINTS + 100;
+        {
+            let ix = persistent(&dir);
+            ix.write_lines("lms", "m v=1 10\nm v=1 20", Default::default()).unwrap();
+            ix.write_lines("lms", "m v=2 10", Default::default()).unwrap();
+            let body: String = (0..big).map(|i| format!("big v={i} {}\n", i + 1)).collect();
+            ix.write_lines("lms", &body, Default::default()).unwrap();
+        }
+        let ix = persistent(&dir);
+        assert_eq!(ix.storage_stats().recovered_records, 3);
+        assert_eq!(ix.point_count("lms"), 2 + big);
+        let r = ix.query("lms", "SELECT v FROM m").unwrap();
+        assert_eq!(
+            r.series[0].values,
+            [vec![Json::Int(10), Json::Num(2.0)], vec![Json::Int(20), Json::Num(1.0)]]
+        );
+        let r = ix.query("lms", "SELECT count(v), sum(v), last(v) FROM big").unwrap();
+        let n = big as i64;
+        let sum = (n * (n - 1) / 2) as f64;
+        assert_eq!(
+            r.series[0].values,
+            [vec![Json::Int(0), Json::Int(n), Json::Num(sum), Json::Num((n - 1) as f64)]]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

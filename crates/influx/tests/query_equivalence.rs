@@ -4,9 +4,7 @@
 //! two fast paths — block-summary pruning and parallel column scans —
 //! that must be *invisible*: over any layout of head, sealed and
 //! straddling/overlapping blocks, every tuning combination must produce
-//! exactly the rows the full-decode serial path produces. And V1 segment
-//! files (no summary footer) must keep opening and answering the same
-//! queries after an upgrade.
+//! exactly the rows the full-decode serial path produces.
 
 use lms_influx::{Influx, QueryResult, QueryTuning, StorageConfig};
 use lms_util::{Clock, Timestamp};
@@ -147,44 +145,3 @@ fn parallel_scan_crosses_the_fanout_threshold_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn v1_segments_without_summaries_answer_identically() {
-    // Upgrade path: a data directory written before the summary footer
-    // existed (V1 segments) must open and answer every query the same —
-    // summaries are recomputed from the decoded blocks at load.
-    let dir = tmp_dir("v1-compat");
-    let queries = [
-        "SELECT v FROM m",
-        "SELECT mean(v), sum(v), min(v), max(v), count(v) FROM m",
-        "SELECT sum(v) FROM m GROUP BY time(200ns)",
-        "SELECT mean(v) FROM m WHERE time >= 100 AND time < 700 GROUP BY \"hostname\"",
-    ];
-    let before: Vec<QueryResult> = {
-        let ix = open(&dir);
-        let body: String = (0..300i64)
-            .map(|i| format!("m,hostname=g{} v={} {}\n", i % 3, i % 17, i * 3))
-            .collect();
-        ix.write_lines("lms", &body, Default::default()).unwrap();
-        ix.flush_storage().unwrap();
-        queries.iter().map(|q| assert_equivalent(&ix, q)).collect()
-    };
-    // Rewrite every segment file in the V1 format (no summary footer).
-    let mut rewritten = 0;
-    for entry in std::fs::read_dir(dir.join("lms")).unwrap() {
-        let path = entry.unwrap().path();
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if name.starts_with("seg-") && name.ends_with(".tsm") {
-            let entries = lms_influx::tsm::segment::read_segment(&path).unwrap();
-            lms_influx::tsm::segment::write_segment_v1(&path, &entries).unwrap();
-            rewritten += 1;
-        }
-    }
-    assert!(rewritten > 0, "expected at least one segment file to downgrade");
-    let ix = open(&dir);
-    for (q, expect) in queries.iter().zip(before) {
-        let got = assert_equivalent(&ix, q);
-        assert_eq!(got, expect, "query {q} diverged after V1 downgrade");
-    }
-    drop(ix);
-    let _ = std::fs::remove_dir_all(&dir);
-}

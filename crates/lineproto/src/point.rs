@@ -171,7 +171,7 @@ impl Point {
     /// Serializes to a single protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut out = String::with_capacity(64);
-        serialize::write_point(self, &mut out);
+        serialize::serialize_point(self, &mut out);
         out
     }
 

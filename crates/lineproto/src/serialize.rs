@@ -55,7 +55,7 @@ pub fn write_series_key(measurement: &str, tags: &[(String, String)], out: &mut 
 /// Invalid points (no fields / empty measurement) are written as-is on the
 /// principle that serialization must be total; validity is the *caller's*
 /// contract and checked by `Point::is_valid`.
-pub fn write_point(p: &Point, out: &mut String) {
+pub fn serialize_point(p: &Point, out: &mut String) {
     write_series_key(p.measurement(), p.tags(), out);
     out.push(' ');
     let mut first = true;
@@ -107,7 +107,7 @@ impl BatchBuilder {
 
     /// Appends one point as a line.
     pub fn push(&mut self, p: &Point) {
-        write_point(p, &mut self.buf);
+        serialize_point(p, &mut self.buf);
         self.buf.push('\n');
         self.lines += 1;
     }

@@ -23,15 +23,15 @@
 //!
 //! An append only returns once its record's group is durably committed
 //! (acks release after the group fsync), so durability semantics are
-//! identical to the old record-at-a-time path — only the fsync *count*
+//! identical to writing each record on its own — only the fsync *count*
 //! changes. With [`WalConfig::fsync_every_append`] set, the leader
 //! additionally holds the group open for up to
 //! [`WalConfig::group_commit_delay`] (or until
 //! [`WalConfig::group_commit_bytes`] accumulate), bounding the fsync rate
 //! under load; without per-append fsync there is no artificial delay —
 //! grouping is purely the natural coalescing of concurrent appends.
-//! Setting both knobs to zero disables grouping entirely and restores the
-//! legacy one-write-one-fsync-per-append path (the benchmark baseline).
+//! With a zero window the leader never waits, so a sequential appender
+//! gets one write (and one fsync, when configured) per append.
 //!
 //! ## Recovery
 //!
@@ -83,8 +83,8 @@ pub struct WalConfig {
     pub fsync_every_append: bool,
     /// How long the commit leader holds a group open waiting for more
     /// appends (only when `fsync_every_append` is set — the delay exists
-    /// to amortize fsyncs, not writes). Zero together with
-    /// `group_commit_bytes == 0` disables grouping entirely.
+    /// to amortize fsyncs, not writes). Zero commits whatever is staged
+    /// as soon as a leader is free.
     pub group_commit_delay: Duration,
     /// Commit the group early once this many staged bytes accumulate
     /// (`0` = no size bound).
@@ -186,8 +186,6 @@ struct FileState {
 /// A segmented, CRC-framed write-ahead log with group commit.
 pub struct Wal {
     cfg: WalConfig,
-    /// False when both group-commit knobs are zero: legacy per-append path.
-    grouped: bool,
     state: Mutex<GroupState>,
     cv: Condvar,
     file: Mutex<FileState>,
@@ -307,10 +305,8 @@ impl Wal {
             .create(true)
             .append(true)
             .open(segment_path(&cfg.dir, active_seq))?;
-        let grouped = !cfg.group_commit_delay.is_zero() || cfg.group_commit_bytes > 0;
         let wal = Wal {
             cfg,
-            grouped,
             state: Mutex::new(GroupState {
                 buf: Vec::new(),
                 spare: Vec::new(),
@@ -341,9 +337,6 @@ impl Wal {
     /// group is written to the OS (and fsynced, when configured). The
     /// record survives any subsequent process crash.
     pub fn append(&self, batch: &str, points: u64) -> Result<u64> {
-        if !self.grouped {
-            return self.append_legacy(batch);
-        }
         let mut st = self.state.lock().unwrap();
         let seq = st.next_record_seq;
         st.next_record_seq += 1;
@@ -462,37 +455,6 @@ impl Wal {
             self.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
-    }
-
-    /// Legacy path (grouping disabled): sequence assignment and the file
-    /// write are serialized under one critical section, exactly the old
-    /// one-write-one-fsync-per-append behaviour.
-    fn append_legacy(&self, batch: &str) -> Result<u64> {
-        let mut st = self.state.lock().unwrap();
-        let seq = st.next_record_seq;
-        let mut buf = Vec::with_capacity(HEADER_LEN + 8 + batch.len());
-        encode_record(seq, batch, &mut buf);
-        {
-            let mut file = self.file.lock().unwrap();
-            if file.dirty_tail || file.active_bytes >= self.cfg.segment_bytes as u64 {
-                self.rotate_file_locked(&mut file)?;
-            }
-            if let Err(e) = file.active.write_all(&buf) {
-                file.dirty_tail = true;
-                return Err(e.into());
-            }
-            file.active_bytes += buf.len() as u64;
-            if self.cfg.fsync_every_append {
-                if let Err(e) = file.active.sync_data() {
-                    file.dirty_tail = true;
-                    return Err(e.into());
-                }
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        st.next_record_seq = seq + 1;
-        st.durable_seq = seq + 1;
-        Ok(seq)
     }
 
     fn rotate_file_locked(&self, file: &mut FileState) -> Result<u64> {
@@ -745,8 +707,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_knobs_disable_grouping() {
-        let dir = tmp("legacy");
+    fn zero_knobs_commit_each_sequential_append() {
+        let dir = tmp("zero-knobs");
         let cfg = WalConfig {
             fsync_every_append: true,
             group_commit_delay: Duration::ZERO,
@@ -758,8 +720,8 @@ mod tests {
             wal.append(&format!("m v={i} {i}"), 1).unwrap();
         }
         let stats = wal.group_stats();
-        assert_eq!(stats.group_commits, 0, "legacy path never forms groups");
-        assert_eq!(stats.fsyncs, 10, "one fsync per append");
+        assert_eq!(stats.group_commits, 10, "one group per sequential append");
+        assert_eq!(stats.fsyncs, 10, "one fsync per sequential append");
         drop(wal);
         let (_, rec) = Wal::open(cfg).unwrap();
         assert_eq!(rec.records.len(), 10);

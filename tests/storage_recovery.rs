@@ -35,7 +35,7 @@ fn open(dir: &PathBuf) -> Influx {
 
 /// Writes points `1..=n` (one WAL record each: unique timestamps,
 /// value == index) to measurement `m`.
-fn write_points(ix: &Influx, n: usize) {
+fn ingest_points(ix: &Influx, n: usize) {
     for i in 1..=n {
         let line = format!("m,hostname=h1 v={i}i {}", i as i64 * 1_000_000_000);
         ix.write_lines("lms", &line, Default::default()).expect("write");
@@ -74,7 +74,7 @@ fn torn_wal_tail_recovers_to_record_boundary_prefix() {
         let n = 5 + rng.below(40) as usize;
         {
             let ix = open(&dir);
-            write_points(&ix, n);
+            ingest_points(&ix, n);
             // Dropped without flush: every point lives only in the WAL.
         }
         let wal = active_wal(&dir);
@@ -195,7 +195,7 @@ fn seal_crash_at_arbitrary_offset_loses_nothing() {
         let expect_sum = (n as i64) * (n as i64 + 1) / 2;
         {
             let ix = open(&dir);
-            write_points(&ix, n);
+            ingest_points(&ix, n);
             let engine = ix.database("lms").unwrap().engine().unwrap().clone();
             engine.inject_segment_write_failure(rng.below(256));
             assert!(ix.flush_storage().is_err(), "injected seal fault must surface");
@@ -227,7 +227,7 @@ fn crash_between_seal_and_checkpoint_does_not_duplicate() {
     let expect_sum = (n as i64) * (n as i64 + 1) / 2;
     {
         let ix = open(&dir);
-        write_points(&ix, n);
+        ingest_points(&ix, n);
         let engine = ix.database("lms").unwrap().engine().unwrap().clone();
         engine.set_fail_wal_remove(true);
         assert!(ix.flush_storage().is_err(), "checkpoint fault must surface");
@@ -248,7 +248,7 @@ proptest! {
         let dir = tmp_dir("prop");
         {
             let ix = open(&dir);
-            write_points(&ix, n);
+            ingest_points(&ix, n);
         }
         let wal = active_wal(&dir);
         let len = std::fs::metadata(&wal).unwrap().len();
